@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # One-command CI: lint, autograd contract check, tier-1 tests,
-# smoke-scale suite + benches, bench gate.
+# smoke-scale suite, perfbench suite, smoke benches, bench gate.
 #
 #   scripts/ci.sh            # full pipeline (writes fresh benches to a tmp dir)
 #   SKIP_BENCH=1 scripts/ci.sh   # lint + tests only (no bench regeneration)
@@ -32,6 +32,14 @@ python -m pytest -x -q
 
 echo "==> test suite at smoke scale"
 REPRO_SCALE=smoke python -m pytest -x -q
+
+# The repository benchmark's own suite: a tiny run of every perfbench
+# workload plus tests that trip each of its correctness checks (served
+# responses bit-equal to the in-process forward, pooled scores equal to
+# the in-process ones, ...), so a kernel change that breaks one of
+# those contracts fails here, not only in a full benchmark run.
+echo "==> perfbench suite (tiny run of every workload + correctness checks)"
+python -m pytest perfbench/tests -q
 
 # Parallel orchestrator smoke through the CLI: the same sweep runs
 # in-process and on two spawned workers, and the digest line — a

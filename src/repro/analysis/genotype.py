@@ -9,10 +9,10 @@ Two layers:
   importing anything;
 * :class:`GenotypeRule` checks every ``Architecture(...)`` call whose
   arguments are literals: op names must exist in the tables and the
-  skip vector must have one entry per layer (the paper counts the
-  space as ``11^K * 2^(K-1) * 3``; the implementation pins one skip
-  choice per layer, which is the invariant
-  ``Architecture.__post_init__`` enforces at runtime);
+  skip vector must have one entry per layer — one of 2 skip ops per
+  layer, so the space is ``11^K * 2^K * 3`` (31,944 for K=3, as
+  ``SearchSpace.size()`` computes), and ``Architecture.__post_init__``
+  enforces the same invariant at runtime;
 * :func:`consistency_findings` cross-checks the declarations
   themselves: every op named in a ``*_OPS`` tuple must have a registry
   factory, no tuple may repeat a name, and deviations from the paper's
@@ -31,7 +31,7 @@ from repro.analysis.findings import Finding, Severity
 
 __all__ = ["OpTables", "collect_op_tables", "consistency_findings", "GenotypeRule"]
 
-# Paper Table I op counts (the 11^K * 2^(K-1) * 3 space of Section III-C).
+# Paper Table I op counts (the 11^K * 2^K * 3 space of Section III-C).
 _PAPER_SIZES = {"NODE_OPS": 11, "LAYER_OPS": 3, "SKIP_OPS": 2}
 
 _TUPLE_NAMES = ("NODE_OPS", "LAYER_OPS", "SKIP_OPS")
@@ -171,7 +171,7 @@ def consistency_findings(tables: OpTables) -> list[Finding]:
                 "paper-space-size",
                 Severity.WARNING,
                 f"{constant} has {len(declaration.names)} ops; paper Table I "
-                f"defines {expected} (11^K * 2^(K-1) * 3 space)",
+                f"defines {expected} (11^K * 2^K * 3 space)",
             )
     return findings
 

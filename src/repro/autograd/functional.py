@@ -58,13 +58,32 @@ def sigmoid(x) -> Tensor:
     return ops.sigmoid(x)
 
 
+class _ByName:
+    """Calls this module's function ``name``, looked up at call time.
+
+    Layers keep the ``ACTIVATIONS`` entry they were built with; looking
+    the function up per call lets wrappers installed later (the
+    autograd profiler's) see those calls too.
+    """
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __call__(self, *args, **kwargs) -> Tensor:
+        return globals()[self.name](*args, **kwargs)
+
+    def __repr__(self) -> str:
+        return f"functional.{self.name}"
+
+
 ACTIVATIONS = {
-    "relu": relu,
-    "leaky_relu": leaky_relu,
-    "elu": elu,
-    "tanh": tanh,
-    "sigmoid": sigmoid,
-    "linear": lambda x: as_tensor(x),
+    **{
+        name: _ByName(name)
+        for name in ("relu", "leaky_relu", "elu", "tanh", "sigmoid")
+    },
+    "linear": as_tensor,
 }
 
 

@@ -10,12 +10,18 @@ permutation, row pointers, per-segment counts) once per segment-id
 array and reduces over the planned layout.
 
 Kernel choice inside the fused backend is measurement-driven (numpy
-2.x, see DESIGN):
+2.x, scipy 1.1x, see DESIGN):
 
-* sums run through ``np.bincount`` on flattened ``segment*width + col``
-  indices — one C pass over the data, ~4–6x faster than ``np.add.at``
-  on (E, 32) message blocks, and bit-identical to it (both accumulate
-  in input-row order per output slot);
+* 2-D+ sums run as sparse-matrix products. A plan *is* a CSR matrix:
+  row ``s`` lists the edges of segment ``s`` in stable edge order, so
+  ``S @ values`` (ones data, edge columns) is the segment sum, and
+  ``A(w) @ x`` (data ``w``, source-row columns) is the weighted
+  gather-then-sum of message passing without ever building the
+  ``(E, F)`` gathered copy. A CSR row product accumulates each row's
+  terms in stored order starting from ``0.0`` — the per-slot order
+  ``np.add.at`` and ``np.bincount`` use — so the products are
+  bit-identical to the naive reference (:func:`gather_scatter_sum`);
+* 1-D sums stay on ``np.bincount``, one C pass with the same order;
 * maxima over 2-D+ values use ``np.take`` along the sort permutation
   plus ``np.maximum.reduceat`` over the CSR row starts; 1-D maxima stay
   on ``np.maximum.at``, whose 1-D fast path already wins.
@@ -29,7 +35,7 @@ implementation and for pinpointing kernel regressions. Select with
 Everything here operates on raw ``numpy.ndarray`` values — the
 differentiable wrappers live in :mod:`repro.autograd.scatter`.
 
-When a :class:`KernelCounters` collector is installed (PR 5, see
+When a :class:`KernelCounters` collector is installed (see
 ``repro.obs``), every public kernel call additionally records bytes
 read/written and elements reduced — the raw numbers behind the
 fused-vs-naive *effective bandwidth* comparison in ``BENCH_*.json``.
@@ -58,6 +64,7 @@ __all__ = [
     "set_backend",
     "use_backend",
     "scatter_sum",
+    "gather_scatter_sum",
     "scatter_max",
     "scatter_add_rows",
     "index_add",
@@ -111,6 +118,18 @@ def use_backend(name: str):
         set_backend(previous)
 
 
+def _sparse():
+    """``scipy.sparse``, imported on the first CSR product.
+
+    The import costs ~0.3 s; deferring it keeps it off process start-up,
+    so a spawned pool worker pays it with its first product, not at
+    spawn.
+    """
+    import scipy.sparse
+
+    return scipy.sparse
+
+
 class SegmentPlan:
     """Immutable CSR layout of one segment-id array.
 
@@ -120,8 +139,11 @@ class SegmentPlan:
     non-empty segments with their row starts (``reduceat`` offsets),
     and the per-segment element counts (cached in integer, float and
     clamped-float form so ``segment_mean`` / degree normalisation never
-    re-run ``np.bincount``). Flattened bincount indices are memoised
-    per value row-width on first use.
+    re-run ``np.bincount``).
+
+    The same layout is a sparse matrix: :meth:`operator` turns it into
+    a CSR ones-matrix whose row ``s`` holds the edges of segment ``s``
+    in stable edge order, built once per column array and cached.
 
     The plan assumes the id array it was built from is not mutated
     afterwards; graph edge arrays are immutable in this codebase.
@@ -137,7 +159,7 @@ class SegmentPlan:
         "counts",
         "counts_float",
         "counts_clamped",
-        "_flat_indices",
+        "_operators",
     )
 
     def __init__(self, segment_ids: np.ndarray, num_segments: int):
@@ -166,21 +188,60 @@ class SegmentPlan:
         counts_clamped = np.maximum(counts_float, 1.0)
         counts_clamped.flags.writeable = False
         self.counts_clamped = counts_clamped
-        self._flat_indices: dict[int, np.ndarray] = {}
+        # (columns array, matrix) per column array; a graph needs at
+        # most two (identity columns and the opposite edge endpoint).
+        self._operators = LruMap(capacity=4)
 
-    def flat_index(self, row_width: int) -> np.ndarray:
-        """``segment_ids * row_width + column`` raveled, memoised per width.
+    def operator(self, columns: np.ndarray | None = None, num_columns: int = 0):
+        """The plan as a ``scipy.sparse.csr_array`` of ones.
 
-        This is the output index for the flattened-``bincount`` sum
-        kernel over values of shape ``(len(segment_ids), row_width)``.
+        Entry ``(s, columns[e])`` for every element ``e`` of segment
+        ``s``, stored in stable element order; repeated columns stay
+        separate entries (nothing is summed or sorted). With
+        ``columns=None`` the column of element ``e`` is ``e`` itself, so
+        ``operator() @ values`` is the segment sum of ``values`` rows;
+        otherwise the matrix has ``num_columns`` columns and
+        ``operator(src, N) @ x`` is the segment sum of ``x[src]``.
+        Built once per column array (keyed by identity, which the
+        cache entry pins) and reused.
         """
-        cached = self._flat_indices.get(row_width)
-        if cached is None:
-            cached = (
-                self.segment_ids[:, None] * row_width + np.arange(row_width)
-            ).ravel()
-            self._flat_indices[row_width] = cached
-        return cached
+        key = None if columns is None else id(columns)
+        cached = self._operators.get(key)
+        if cached is not None and cached[0] is columns:
+            return cached[1]
+        if columns is None:
+            indices, num_columns = self.order, len(self.order)
+        else:
+            if len(columns) != len(self.order):
+                raise ValueError(
+                    f"{len(columns)} column indices for a plan of "
+                    f"{len(self.order)} elements"
+                )
+            indices = np.asarray(columns, dtype=np.int64)[self.order]
+            # The product does not bounds-check; check once, here.
+            if indices.size and (indices.min() < 0 or indices.max() >= num_columns):
+                raise IndexError(
+                    f"column index out of range for {num_columns} columns"
+                )
+        matrix = _sparse().csr_array(
+            (np.ones(len(indices)), indices, self.indptr),
+            shape=(self.num_segments, int(num_columns)),
+        )
+        self._operators.put(key, (columns, matrix))
+        return matrix
+
+    def weighted(self, weights: np.ndarray, columns: np.ndarray, num_columns: int):
+        """:meth:`operator` with data ``weights[e]`` in place of ones.
+
+        A fresh matrix over the cached index structure (no re-sort, no
+        index copy): ``weighted(w, src, N) @ x`` is
+        ``sum_e w[e] * x[src[e]]`` per segment.
+        """
+        base = self.operator(columns, num_columns)
+        data = np.asarray(weights, dtype=np.float64)[self.order]
+        return _sparse().csr_array(
+            (data, base.indices, base.indptr), shape=base.shape
+        )
 
 
 class LruMap:
@@ -413,30 +474,36 @@ def scatter_sum(
     """``out[s] = sum of values rows with segment_ids == s`` (float64).
 
     Repeated ids accumulate; empty segments are zero. The fused path is
-    bit-identical to the naive one (same per-slot accumulation order).
+    bit-identical to the naive one (same per-slot accumulation order):
+    1-D values go through ``np.bincount``, wider rows through the
+    plan's cached ones-matrix, ``S @ values``.
     """
     values = np.asarray(values)
     counters = _COUNTERS
-    if counters is None:
-        return _scatter_sum_impl(values, segment_ids, num_segments, plan)
-    t_start = counters.clock() if counters.clock is not None else 0.0
-    out = _scatter_sum_impl(values, segment_ids, num_segments, plan)
-    counters.record(
-        "scatter_sum",
-        bytes_read=values.nbytes + _nbytes(segment_ids),
-        bytes_written=out.nbytes,
-        elements=values.size,
-        seconds=counters.clock() - t_start if counters.clock is not None else 0.0,
-    )
-    return out
+    if _BACKEND == "naive" or values.ndim == 1 or values.size == 0:
+        if counters is None:
+            return _scatter_sum_impl(values, segment_ids, num_segments)
+        t_start = counters.clock() if counters.clock is not None else 0.0
+        out = _scatter_sum_impl(values, segment_ids, num_segments)
+        counters.record(
+            "scatter_sum",
+            bytes_read=values.nbytes + _nbytes(segment_ids),
+            bytes_written=out.nbytes,
+            elements=values.size,
+            seconds=counters.clock() - t_start if counters.clock is not None else 0.0,
+        )
+        return out
+    if plan is None:
+        plan = plan_for(segment_ids, num_segments)
+    flat = values.reshape(len(values), -1)
+    out = _csr_product(plan.operator(), flat, counters)
+    return out.reshape((num_segments,) + values.shape[1:])
 
 
 def _scatter_sum_impl(
-    values: np.ndarray,
-    segment_ids: np.ndarray,
-    num_segments: int,
-    plan: SegmentPlan | None,
+    values: np.ndarray, segment_ids: np.ndarray, num_segments: int
 ) -> np.ndarray:
+    """The naive scatter, plus the fused 1-D (bincount) and empty cases."""
     if _BACKEND == "naive":
         out = np.zeros((num_segments,) + values.shape[1:], dtype=np.float64)
         _index_add_impl(out, segment_ids, values)
@@ -448,20 +515,92 @@ def _scatter_sum_impl(
                 f"segment id out of range for {num_segments} segments"
             )
         return out
-    if values.size == 0:
-        # Covers zero rows and zero-width rows; reshape(-1) on a
-        # zero-size array would be ambiguous.
-        return np.zeros((num_segments,) + values.shape[1:], dtype=np.float64)
-    flat = values.reshape(len(values), -1)
-    width = flat.shape[1]
+    # Zero rows or zero-width rows: nothing to reduce.
+    return np.zeros((num_segments,) + values.shape[1:], dtype=np.float64)
+
+
+def _csr_product(matrix, x: np.ndarray, counters) -> np.ndarray:
+    """``matrix @ x`` for 2-D ``x``, recorded as a ``scatter_sum``.
+
+    Counts what the product touches — ``x``, the matrix's data, column
+    indices and row pointers, and the output — and nothing per edge
+    and feature, because no ``(E, F)`` array is ever built.
+    """
+    if counters is None:
+        return matrix @ x
+    t_start = counters.clock() if counters.clock is not None else 0.0
+    out = matrix @ x
+    counters.record(
+        "scatter_sum",
+        bytes_read=(
+            x.nbytes + matrix.data.nbytes + matrix.indices.nbytes
+            + matrix.indptr.nbytes
+        ),
+        bytes_written=out.nbytes,
+        elements=matrix.nnz * x.shape[1],
+        seconds=counters.clock() - t_start if counters.clock is not None else 0.0,
+    )
+    return out
+
+
+def gather_scatter_sum(
+    x: np.ndarray,
+    columns: np.ndarray,
+    segment_ids: np.ndarray,
+    num_segments: int,
+    plan: SegmentPlan | None = None,
+    weights: np.ndarray | None = None,
+    matrix=None,
+) -> np.ndarray:
+    """``out[s] = sum over e with segment_ids[e] == s of weights[e] * x[columns[e]]``.
+
+    The message-passing step: gather ``x`` rows along edges, scale each
+    by its edge weight (``None`` means 1), and sum them per segment.
+    ``weights`` may carry leading head axes: ``(E, H)`` weights go with
+    ``(N, H, d)`` rows, one weight per edge and head.
+
+    The naive backend spells it out — ``np.take`` of the ``(E, ...)``
+    messages, a multiply, the buffered scatter. The fused backend runs
+    one CSR product per head, ``A(w) @ x``, where ``A(w)`` is ``plan``
+    (the plan of ``segment_ids``) as a matrix with columns ``columns``
+    and data ``w`` — or ``matrix``, a prebuilt ``A(w)`` for a constant
+    ``weights`` array. Each output slot adds the same products
+    ``w[e] * x[columns[e]]`` in the same stable edge order starting from
+    ``0.0`` in both, so the results are bit-identical. Records under
+    the ``scatter_sum`` counter.
+    """
+    x = np.asarray(x)
+    if _BACKEND == "naive":
+        messages = np.take(x, columns, axis=0)
+        if weights is not None:
+            messages = messages * weights[..., None]
+        return scatter_sum(messages, segment_ids, num_segments)
     if plan is None:
         plan = plan_for(segment_ids, num_segments)
-    out = np.bincount(
-        plan.flat_index(width),
-        weights=flat.ravel(),
-        minlength=num_segments * width,
+    num_rows = x.shape[0]
+    grouped = (
+        None
+        if weights is None
+        else weights.reshape(weights.shape[0], int(np.prod(weights.shape[1:])))
     )
-    return out.reshape((num_segments,) + values.shape[1:])
+    heads = 1 if grouped is None else grouped.shape[1]
+    out_shape = (num_segments,) + x.shape[1:]
+    if x.size == 0 or len(columns) == 0:
+        return np.zeros(out_shape, dtype=np.float64)
+    rows = x.reshape(num_rows, heads, -1)
+    counters = _COUNTERS
+    products = []
+    for head in range(heads):
+        operator = matrix
+        if operator is None:
+            operator = (
+                plan.operator(columns, num_rows)
+                if grouped is None
+                else plan.weighted(grouped[:, head], columns, num_rows)
+            )
+        products.append(_csr_product(operator, rows[:, head], counters))
+    out = products[0] if heads == 1 else np.stack(products, axis=1)
+    return out.reshape(out_shape)
 
 
 def scatter_max(

@@ -28,6 +28,7 @@ from repro.autograd.tensor import Tensor, as_tensor
 
 __all__ = [
     "gather",
+    "gather_sum",
     "segment_sum",
     "segment_mean",
     "segment_max",
@@ -48,6 +49,44 @@ def gather(x, index: np.ndarray, plan: SegmentPlan | None = None) -> Tensor:
     return ops.getitem(as_tensor(x), index, plan=plan)
 
 
+def gather_sum(
+    x,
+    src_index: np.ndarray,
+    segment_ids: np.ndarray,
+    num_segments: int,
+    src_plan: SegmentPlan | None = None,
+    plan: SegmentPlan | None = None,
+) -> Tensor:
+    """``segment_sum(gather(x, src_index), segment_ids, num_segments)``
+    as one tape node.
+
+    The neighbor sum of SAGE and GIN when no layer context shares the
+    gather. Forward and adjoint are each one CSR product on the fused
+    backend — ``S @ x`` over the destination plan, ``S^T @ g`` over the
+    source plan — so the ``(E, F)`` gathered rows and their gradient
+    are never built. Bit-identical to the two-node spelling: every
+    output slot adds the same rows in the same stable edge order.
+    ``plan`` is the plan of ``segment_ids`` over ``num_segments``,
+    ``src_plan`` that of ``src_index`` over ``len(x)``.
+    """
+    x = as_tensor(x)
+    src_index = np.asarray(src_index, dtype=np.int64)
+    segment_ids = np.asarray(segment_ids, dtype=np.int64)
+    out = kernels.gather_scatter_sum(
+        x.data, src_index, segment_ids, num_segments, plan
+    )
+    num_rows = x.data.shape[0]
+
+    def backward(g):
+        return (
+            kernels.gather_scatter_sum(
+                g, segment_ids, src_index, num_rows, src_plan
+            ),
+        )
+
+    return Tensor._from_op(out, (x,), backward)
+
+
 def segment_attention_sum(
     x,
     weights,
@@ -56,6 +95,7 @@ def segment_attention_sum(
     num_segments: int,
     src_plan: SegmentPlan | None = None,
     plan: SegmentPlan | None = None,
+    operators: tuple | None = None,
 ) -> Tensor:
     """``out[s] = sum over edges e with segment_ids[e] == s of
     weights[e] * x[src_index[e]]`` — the weighted message-passing step
@@ -63,19 +103,18 @@ def segment_attention_sum(
     fused into one tape node.
 
     ``x`` has one more trailing axis than ``weights`` (``(N, d)`` with
-    ``(E,)`` weights, or ``(N, H, d)`` with ``(E, H)``). The composed
-    gather → multiply → ``segment_sum`` spelling records three
-    full-edge-size tape nodes; this runs the identical value sequence
-    (take, multiply, bincount — bit-identical forward) while computing
-    the weight gradient as a trailing-axis inner product directly.
-    ``src_plan`` covers the adjoint scatter back to ``x`` rows,
-    ``plan`` the forward reduction.
-
-    The backward recomputes the edge-gathered source rows (one
-    ``np.take``, ~2% of a forward) and the weight-column view instead
-    of retaining them: the parents' storage is on the tape anyway, so
-    re-deriving both drops the closure's only large capture — the
-    ``(E, F)`` gathered copy — from every attention/GCN tape node.
+    ``(E,)`` weights, or ``(N, H, d)`` with ``(E, H)``). On the fused
+    backend the forward is the CSR product ``A(w) @ x`` — ``A(w)`` is
+    the destination plan with data ``w`` and source-row columns — and
+    the ``x`` adjoint is ``A(w)^T @ g``, built from the source plan
+    (``src_plan``) so each input row sums its edges in stable edge
+    order; neither builds the ``(E, F)`` gathered copy. ``operators``
+    optionally supplies a prebuilt ``(A(w), A(w)^T)`` pair for constant
+    weights (GCN's normalised adjacency, cached per graph). The weight
+    gradient is the trailing-axis inner product of the edge-gathered
+    output gradient and source rows. The composed gather → multiply →
+    ``segment_sum`` spelling is bit-identical but records three
+    full-edge-size tape nodes.
     """
     x, weights = as_tensor(x), as_tensor(weights)
     src_index = np.asarray(src_index, dtype=np.int64)
@@ -85,25 +124,27 @@ def segment_attention_sum(
             f"x must have one more axis than weights, got {x.shape} "
             f"and {weights.shape}"
         )
-    out = kernels.scatter_sum(
-        np.take(x.data, src_index, axis=0) * weights.data[..., None],
-        segment_ids,
-        num_segments,
-        plan,
+    forward_op, adjoint_op = operators if operators is not None else (None, None)
+    out = kernels.gather_scatter_sum(
+        x.data, src_index, segment_ids, num_segments, plan,
+        weights=weights.data, matrix=forward_op,
     )
     num_rows = x.data.shape[0]
 
     def backward(g):
-        g_edge = np.take(g, segment_ids, axis=0)
         grad_x = (
-            kernels.scatter_sum(
-                g_edge * weights.data[..., None], src_index, num_rows, src_plan
+            kernels.gather_scatter_sum(
+                g, segment_ids, src_index, num_rows, src_plan,
+                weights=weights.data, matrix=adjoint_op,
             )
             if x.requires_grad
             else None
         )
         grad_w = (
-            (g_edge * np.take(x.data, src_index, axis=0)).sum(axis=-1)
+            (
+                np.take(g, segment_ids, axis=0)
+                * np.take(x.data, src_index, axis=0)
+            ).sum(axis=-1)
             if weights.requires_grad
             else None
         )

@@ -28,14 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.autograd import functional as F
-from repro.autograd import ops
-from repro.autograd.scatter import (
-    gather,
-    segment_attention_sum,
-    segment_max,
-    segment_softmax,
-    segment_sum,
-)
+from repro.autograd import ops, scatter
 from repro.autograd.tensor import Tensor, as_tensor
 from repro.gnn.common import GraphCache, LayerContext
 from repro.nn import init
@@ -82,8 +75,28 @@ class NodeAggregator(Module):
         if ctx is not None and ctx.x is x:
             return ctx.source_features(self_loops)
         if self_loops:
-            return gather(x, cache.src, plan=cache.src_plan)
-        return gather(x, cache.nbr_src, plan=cache.nbr_src_plan)
+            return scatter.gather(x, cache.src, plan=cache.src_plan)
+        return scatter.gather(x, cache.nbr_src, plan=cache.nbr_src_plan)
+
+    @staticmethod
+    def _neighbor_sum(
+        x: Tensor, cache: GraphCache, ctx: LayerContext | None
+    ) -> Tensor:
+        """Strict-neighbor sum of ``x`` rows (SAGE-SUM/MEAN, GIN).
+
+        Inside a layer context the candidates share one gather and one
+        sum node; standalone it is a single fused gather-sum node.
+        """
+        if ctx is not None and ctx.x is x:
+            return ctx.neighbor_sum()
+        return scatter.gather_sum(
+            x,
+            cache.nbr_src,
+            cache.nbr_dst,
+            cache.num_nodes,
+            cache.nbr_src_plan,
+            cache.nbr_dst_plan,
+        )
 
 
 class SageAggregator(NodeAggregator):
@@ -102,22 +115,15 @@ class SageAggregator(NodeAggregator):
     ) -> Tensor:
         x = as_tensor(x)
         plan = cache.nbr_dst_plan
-        shared = ctx is not None and ctx.x is x
         if self.reduce == "max":
             messages = self._source_features(x, cache, ctx, self_loops=False)
-            agg = segment_max(messages, cache.nbr_dst, cache.num_nodes, plan)
+            agg = scatter.segment_max(
+                messages, cache.nbr_dst, cache.num_nodes, plan
+            )
         else:
-            # SUM and MEAN share one scatter through the layer context
-            # (mean is the shared sum scaled by in-degree).
-            if shared:
-                agg = ctx.neighbor_sum()
-            else:
-                messages = self._source_features(
-                    x, cache, ctx, self_loops=False
-                )
-                agg = segment_sum(
-                    messages, cache.nbr_dst, cache.num_nodes, plan
-                )
+            # MEAN is the SUM scaled by in-degree, so both share one
+            # neighbor sum through the layer context.
+            agg = self._neighbor_sum(x, cache, ctx)
             if self.reduce == "mean":
                 agg = agg / plan.counts_clamped[:, None]
         return self.lin_self(x) + self.lin_neighbor(agg)
@@ -134,7 +140,7 @@ class GCNAggregator(NodeAggregator):
         self, x: Tensor, cache: GraphCache, ctx: LayerContext | None = None
     ) -> Tensor:
         h = self.lin(x)
-        return segment_attention_sum(
+        return scatter.segment_attention_sum(
             h,
             cache.gcn_weights,
             cache.src,
@@ -142,6 +148,7 @@ class GCNAggregator(NodeAggregator):
             cache.num_nodes,
             cache.src_plan,
             cache.dst_plan,
+            operators=cache.gcn_operators,
         )
 
 
@@ -190,40 +197,36 @@ class GATAggregator(NodeAggregator):
 
     def _edge_scores(self, x: Tensor, h_heads: Tensor, cache: GraphCache) -> Tensor:
         """Per-edge, per-head unnormalised attention scores ``(E, heads)``."""
-        src, dst = cache.src, cache.dst
-        src_plan, dst_plan = cache.src_plan, cache.dst_plan
+
+        def at_src(t: Tensor) -> Tensor:  # rows of t gathered per edge source
+            return scatter.gather(t, cache.src, cache.src_plan)
+
+        def at_dst(t: Tensor) -> Tensor:  # rows of t gathered per edge destination
+            return scatter.gather(t, cache.dst, cache.dst_plan)
+
         if self.variant in ("gat", "sym"):
             score_src = ops.sum(h_heads * self.att_src, axis=-1)  # (N, heads)
             score_dst = ops.sum(h_heads * self.att_dst, axis=-1)
             forward = F.leaky_relu(
-                gather(score_src, src, src_plan) + gather(score_dst, dst, dst_plan),
-                self.negative_slope,
+                at_src(score_src) + at_dst(score_dst), self.negative_slope
             )
             if self.variant == "gat":
                 return forward
             backward = F.leaky_relu(
-                gather(score_src, dst, dst_plan) + gather(score_dst, src, src_plan),
-                self.negative_slope,
+                at_dst(score_src) + at_src(score_dst), self.negative_slope
             )
             return forward + backward
         if self.variant == "cos":
             h_dst = self.lin_dst(x).reshape(-1, self.heads, self.head_dim)
-            return ops.sum(
-                gather(h_heads, src, src_plan) * gather(h_dst, dst, dst_plan),
-                axis=-1,
-            )
+            return ops.sum(at_src(h_heads) * at_dst(h_dst), axis=-1)
         if self.variant == "linear":
             score_src = ops.sum(h_heads * self.att_src, axis=-1)
             score_dst = ops.sum(h_heads * self.att_dst, axis=-1)
-            return ops.tanh(
-                gather(score_src, src, src_plan) + gather(score_dst, dst, dst_plan)
-            )
+            return ops.tanh(at_src(score_src) + at_dst(score_dst))
         # gen-linear
         h_src = self.lin_src(x).reshape(-1, self.heads, self.head_dim)
         h_dst = self.lin_dst_score(x).reshape(-1, self.heads, self.head_dim)
-        hidden = ops.tanh(
-            gather(h_src, src, src_plan) + gather(h_dst, dst, dst_plan)
-        )
+        hidden = ops.tanh(at_src(h_src) + at_dst(h_dst))
         return ops.sum(hidden * self.w_g, axis=-1)
 
     def forward(
@@ -239,12 +242,12 @@ class GATAggregator(NodeAggregator):
         num_edges = len(cache.src)
         flat_scores = scores.transpose().reshape(num_edges * self.heads)
         seg, seg_plan = cache.head_layout(self.heads)
-        attention = segment_softmax(
+        attention = scatter.segment_softmax(
             flat_scores, seg, self.heads * cache.num_nodes, seg_plan
         )
         attention = attention.reshape(self.heads, num_edges).transpose()  # (E, heads)
 
-        out = segment_attention_sum(
+        out = scatter.segment_attention_sum(
             h_heads,
             attention,
             cache.src,
@@ -268,13 +271,7 @@ class GINAggregator(NodeAggregator):
         self, x: Tensor, cache: GraphCache, ctx: LayerContext | None = None
     ) -> Tensor:
         x = as_tensor(x)
-        if ctx is not None and ctx.x is x:
-            neighbor_sum = ctx.neighbor_sum()
-        else:
-            messages = self._source_features(x, cache, ctx, self_loops=False)
-            neighbor_sum = segment_sum(
-                messages, cache.nbr_dst, cache.num_nodes, cache.nbr_dst_plan
-            )
+        neighbor_sum = self._neighbor_sum(x, cache, ctx)
         combined = (1.0 + self.eps) * x + neighbor_sum
         return self.mlp(combined)
 
@@ -310,13 +307,13 @@ class GeniePathAggregator(NodeAggregator):
         score_src = ops.sum(h * self.att_src.reshape(1, -1), axis=1)
         score_dst = ops.sum(h * self.att_dst.reshape(1, -1), axis=1)
         scores = ops.tanh(
-            gather(score_src, cache.src, cache.src_plan)
-            + gather(score_dst, cache.dst, cache.dst_plan)
+            scatter.gather(score_src, cache.src, cache.src_plan)
+            + scatter.gather(score_dst, cache.dst, cache.dst_plan)
         )
-        attention = segment_softmax(
+        attention = scatter.segment_softmax(
             scores, cache.dst, cache.num_nodes, cache.dst_plan
         )
-        breadth = segment_attention_sum(
+        breadth = scatter.segment_attention_sum(
             h,
             attention,
             cache.src,

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.autograd import scatter
 from repro.autograd.kernels import SegmentPlan, plan_for
-from repro.autograd.scatter import gather, segment_sum
 from repro.autograd.tensor import Tensor, as_tensor
 from repro.graph.data import Graph
 from repro.graph.utils import (
@@ -56,6 +56,9 @@ class GraphCache:
     src_plan, nbr_src_plan:
         Segment plans of the source arrays over ``N`` — the layouts of
         the gather-adjoint scatters.
+    gcn_operators:
+        GCN's constant propagation as a prebuilt CSR pair (``A``,
+        ``A^T``), built on first use.
     """
 
     def __init__(self, graph: Graph):
@@ -81,6 +84,25 @@ class GraphCache:
 
         self._padded: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._head_layouts: dict[int, tuple[np.ndarray, SegmentPlan]] = {}
+        self._gcn_operators: tuple | None = None
+
+    @property
+    def gcn_operators(self) -> tuple:
+        """``(A, A^T)`` with ``A[v, u]`` = the GCN weight of edge ``u -> v``.
+
+        The operand pair of
+        :func:`~repro.autograd.scatter.segment_attention_sum` for GCN:
+        the weights never change, so the two CSR matrices (one entry
+        per ``G~`` edge, in the destination and source plans' stable
+        edge order) are built once per graph rather than per call.
+        """
+        if self._gcn_operators is None:
+            n = self.num_nodes
+            self._gcn_operators = (
+                self.dst_plan.weighted(self.gcn_weights, self.src, n),
+                self.src_plan.weighted(self.gcn_weights, self.dst, n),
+            )
+        return self._gcn_operators
 
     def in_degrees(self, self_loops: bool = True) -> np.ndarray:
         """Cached in-degree per node as float64 (read-only array)."""
@@ -151,9 +173,11 @@ class LayerContext:
         if cached is None:
             cache = self.cache
             if key:
-                cached = gather(self.x, cache.src, plan=cache.src_plan)
+                cached = scatter.gather(self.x, cache.src, plan=cache.src_plan)
             else:
-                cached = gather(self.x, cache.nbr_src, plan=cache.nbr_src_plan)
+                cached = scatter.gather(
+                    self.x, cache.nbr_src, plan=cache.nbr_src_plan
+                )
             self._source_features[key] = cached
         return cached
 
@@ -167,7 +191,7 @@ class LayerContext:
         """
         if self._neighbor_sum is None:
             cache = self.cache
-            self._neighbor_sum = segment_sum(
+            self._neighbor_sum = scatter.segment_sum(
                 self.source_features(False),
                 cache.nbr_dst,
                 cache.num_nodes,

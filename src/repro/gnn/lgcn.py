@@ -17,8 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.autograd import functional as F
-from repro.autograd import ops
-from repro.autograd.scatter import gather
+from repro.autograd import ops, scatter
 from repro.autograd.tensor import Tensor, as_tensor
 from repro.gnn.common import GraphCache
 from repro.nn import init
@@ -52,7 +51,7 @@ class LGCNLayer(Module):
     def forward(self, x: Tensor, cache: GraphCache) -> Tensor:
         x = as_tensor(x)
         index, mask = cache.padded_neighbors(self.k)
-        gathered = gather(x, index)  # (N, k, F)
+        gathered = scatter.gather(x, index)  # (N, k, F)
         # Mask out padding with -inf so it never enters the top-k.
         neg_inf = np.where(mask[:, :, None], 0.0, -np.inf)
         masked = gathered + Tensor(neg_inf)

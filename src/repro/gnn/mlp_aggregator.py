@@ -14,7 +14,7 @@ import itertools
 
 import numpy as np
 
-from repro.autograd.scatter import gather, segment_sum
+from repro.autograd import scatter
 from repro.autograd.tensor import Tensor, as_tensor
 from repro.autograd import functional as F
 from repro.gnn.aggregators import NodeAggregator
@@ -52,7 +52,9 @@ class MLPAggregator(NodeAggregator):
     ) -> Tensor:
         x = as_tensor(x)
         messages = self._source_features(x, cache, ctx, self_loops=True)
-        summed = segment_sum(messages, cache.dst, cache.num_nodes, cache.dst_plan)
+        summed = scatter.segment_sum(
+            messages, cache.dst, cache.num_nodes, cache.dst_plan
+        )
         return self.mlp(summed)
 
 

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.autograd import ops
-from repro.autograd.scatter import gather, segment_max, segment_mean, segment_softmax, segment_sum
+from repro.autograd import ops, scatter
 from repro.autograd.tensor import Tensor
 from repro.nn import init
 from repro.nn.layers import Linear
@@ -34,17 +33,17 @@ class PoolingOp(Module):
 
 class MeanPooling(PoolingOp):
     def forward(self, h, graph_ids, num_graphs):
-        return segment_mean(h, graph_ids, num_graphs)
+        return scatter.segment_mean(h, graph_ids, num_graphs)
 
 
 class MaxPooling(PoolingOp):
     def forward(self, h, graph_ids, num_graphs):
-        return segment_max(h, graph_ids, num_graphs)
+        return scatter.segment_max(h, graph_ids, num_graphs)
 
 
 class SumPooling(PoolingOp):
     def forward(self, h, graph_ids, num_graphs):
-        return segment_sum(h, graph_ids, num_graphs)
+        return scatter.segment_sum(h, graph_ids, num_graphs)
 
 
 class AttentionPooling(PoolingOp):
@@ -57,10 +56,10 @@ class AttentionPooling(PoolingOp):
 
     def forward(self, h, graph_ids, num_graphs):
         scores = self.scorer(h).reshape(len(graph_ids))
-        weights = segment_softmax(scores, graph_ids, num_graphs)
+        weights = scatter.segment_softmax(scores, graph_ids, num_graphs)
         values = ops.tanh(self.transform(h))
         weighted = values * weights.reshape(-1, 1)
-        return segment_sum(weighted, graph_ids, num_graphs)
+        return scatter.segment_sum(weighted, graph_ids, num_graphs)
 
 
 POOLING_OPS = {

@@ -21,8 +21,7 @@ import numpy as np
 
 from repro import obs
 from repro.autograd import functional as F
-from repro.autograd import no_grad, ops
-from repro.autograd.scatter import gather
+from repro.autograd import no_grad, ops, scatter
 from repro.autograd.tensor import Tensor
 from repro.gnn.aggregators import create_node_aggregator
 from repro.gnn.common import GraphCache
@@ -113,7 +112,10 @@ class EmbeddingAligner(Module):
 
     def encode(self) -> tuple[Tensor, Tensor]:
         table = l2_normalize(self.entities)
-        return gather(table, self._map_1), gather(table, self._map_2)
+        return (
+            scatter.gather(table, self._map_1),
+            scatter.gather(table, self._map_2),
+        )
 
     def structure_loss(self, rng: np.random.Generator) -> Tensor:
         """TransE margin loss over both KGs in the merged index space."""
@@ -122,11 +124,11 @@ class EmbeddingAligner(Module):
             (self.dataset.kg1.triples, self._map_1),
             (self.dataset.kg2.triples, self._map_2),
         ):
-            heads = gather(self.entities, mapping[triples[:, 0]])
-            rels = gather(self.relations, triples[:, 1])
-            tails = gather(self.entities, mapping[triples[:, 2]])
+            heads = scatter.gather(self.entities, mapping[triples[:, 0]])
+            rels = scatter.gather(self.relations, triples[:, 1])
+            tails = scatter.gather(self.entities, mapping[triples[:, 2]])
             corrupt = rng.integers(0, self.entities.shape[0], size=len(triples))
-            fake_tails = gather(self.entities, corrupt)
+            fake_tails = scatter.gather(self.entities, corrupt)
             pos = ops.sum(ops.abs(heads + rels - tails), axis=1)
             neg = ops.sum(ops.abs(heads + rels - fake_tails), axis=1)
             loss = ops.mean(F.relu(pos - neg + 1.0))
@@ -194,13 +196,17 @@ def margin_ranking_loss(
     plus the symmetric corruption of the first side, L1 distances.
     """
     links = np.asarray(links, dtype=np.int64)
-    anchors_1 = gather(z1, links[:, 0])
-    anchors_2 = gather(z2, links[:, 1])
+    anchors_1 = scatter.gather(z1, links[:, 0])
+    anchors_2 = scatter.gather(z2, links[:, 1])
     pos = ops.sum(ops.abs(anchors_1 - anchors_2), axis=1)
     total = None
     for __ in range(num_negatives):
-        fake_2 = gather(z2, rng.integers(0, z2.shape[0], size=len(links)))
-        fake_1 = gather(z1, rng.integers(0, z1.shape[0], size=len(links)))
+        fake_2 = scatter.gather(
+            z2, rng.integers(0, z2.shape[0], size=len(links))
+        )
+        fake_1 = scatter.gather(
+            z1, rng.integers(0, z1.shape[0], size=len(links))
+        )
         neg_right = ops.sum(ops.abs(anchors_1 - fake_2), axis=1)
         neg_left = ops.sum(ops.abs(fake_1 - anchors_2), axis=1)
         loss = ops.mean(F.relu(pos - neg_right + margin)) + ops.mean(

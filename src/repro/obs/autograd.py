@@ -17,10 +17,13 @@ strictly zero-overhead while disabled:
   separates *self* time from *cumulative* time, so composite ops (e.g.
   ``gather`` calling ``getitem``) do not double-count.
 
-Bound references taken before ``install()`` (e.g. the ``ACTIVATIONS``
-table binds ``relu`` at import time) bypass the wrappers; they still
-hit the tape hook, so their calls and bytes are counted even when their
-forward time is attributed to the enclosing op.
+A wrapper only sees calls that look the function up on its module at
+call time. The package's own call sites do (``scatter.gather(...)``,
+``F.lstm_gate_update(...)``, and the ``ACTIVATIONS`` table, whose
+entries resolve their function per call), so every op with tape
+entries also has timed calls. A reference bound by name before
+``install()`` would bypass the wrapper: it still hits the tape hook,
+but its forward time lands in the enclosing op.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ _FUNCTIONAL_NAMES = (
     "leaky_relu",
     "elu",
     "dropout",
+    "lstm_gate_update",
     "softmax",
     "log_softmax",
     "nll_loss",

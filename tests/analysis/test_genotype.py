@@ -153,3 +153,14 @@ class TestRealSearchSpace:
         assert len(t.names("NODE_OPS")) == 11
         assert "sage-sum" in t.node_names
         assert consistency_findings(t) == []
+
+    def test_declared_tables_give_the_paper_space_size(self):
+        """The op counts the analyzer checks against multiply out to the
+        space ``SearchSpace`` enumerates: 11^K * 2^K * 3, 31,944 at K=3."""
+        from repro.core.search_space import SearchSpace
+
+        assert SearchSpace(3).size() == 31944
+        assert 11**3 * 2**3 * 3 == 31944
+        findings = consistency_findings(tables())
+        message = next(f.message for f in findings if f.rule_id == "paper-space-size")
+        assert "11^K * 2^K * 3" in message

@@ -181,6 +181,12 @@ def _lstm_loss(gates, c_prev):
 
 SCATTER_CASES = {
     "gather": [(MATRIX, lambda t: scatter.gather(t, ROW_INDEX))],
+    "gather_sum": [
+        (
+            MATRIX,
+            lambda t: scatter.gather_sum(t, ROW_INDEX, SEGMENT_IDS, NUM_SEGMENTS),
+        ),
+    ],
     "segment_sum": [
         (EDGE_VALUES, lambda t: scatter.segment_sum(t, SEGMENT_IDS, NUM_SEGMENTS)),
         (EDGE_WEIGHTS, lambda t: scatter.segment_sum(t, SEGMENT_IDS, NUM_SEGMENTS)),

@@ -24,6 +24,8 @@ from repro.autograd.kernels import (
 )
 from repro.autograd.scatter import (
     gather,
+    gather_sum,
+    segment_attention_sum,
     segment_max,
     segment_mean,
     segment_softmax,
@@ -200,12 +202,34 @@ def test_plan_rejects_bad_ids():
         SegmentPlan(np.zeros((2, 2), dtype=np.int64), 3)
 
 
-def test_flat_index_is_memoised():
+def test_operator_is_built_once_per_plan():
     ids = np.array([1, 0, 1], dtype=np.int64)
+    src = np.array([2, 2, 0], dtype=np.int64)
     plan = SegmentPlan(ids, 2)
-    first = plan.flat_index(3)
-    np.testing.assert_array_equal(first, [3, 4, 5, 0, 1, 2, 3, 4, 5])
-    assert plan.flat_index(3) is first
+    ones = plan.operator()
+    np.testing.assert_array_equal(ones.toarray(), [[0, 1, 0], [1, 0, 1]])
+    # Stored in the plan's stable order, not re-sorted.
+    np.testing.assert_array_equal(ones.indices, plan.order)
+    np.testing.assert_array_equal(ones.indptr, plan.indptr)
+    for _ in range(3):
+        scatter_sum(np.ones((3, 2)), ids, 2, plan)
+    assert plan.operator() is ones
+    gathered = plan.operator(src, 3)
+    assert plan.operator(src, 3) is gathered
+    np.testing.assert_array_equal(gathered.toarray(), [[0, 0, 1], [1, 0, 1]])
+    # Weighted variants reuse the cached index arrays, data in plan order.
+    weighted = plan.weighted(np.array([10.0, 20.0, 30.0]), src, 3)
+    assert np.shares_memory(weighted.indices, gathered.indices)
+    assert np.shares_memory(weighted.indptr, gathered.indptr)
+    np.testing.assert_array_equal(weighted.data, [20.0, 10.0, 30.0])
+
+
+def test_operator_validates_columns():
+    plan = SegmentPlan(np.array([0, 1], dtype=np.int64), 2)
+    with pytest.raises(IndexError):
+        plan.operator(np.array([0, 3], dtype=np.int64), 3)
+    with pytest.raises(ValueError):
+        plan.operator(np.array([0], dtype=np.int64), 3)
 
 
 def test_plan_for_memoises_by_identity():
@@ -230,3 +254,111 @@ def test_backend_switch_validates():
     with use_backend("naive"):
         assert kernels.get_backend() == "naive"
     assert kernels.get_backend() == before
+
+
+# ----------------------------------------------------------------------
+# CSR products: bit-identical to the naive backend
+# ----------------------------------------------------------------------
+def _maybe_strided(draw, array):
+    """``array`` itself, or an equal non-contiguous view of it."""
+    if array.ndim == 0 or not draw(st.booleans()):
+        return array
+    padded = np.zeros(array.shape[:-1] + (2 * array.shape[-1],))
+    padded[..., ::2] = array
+    view = padded[..., ::2]
+    assert array.size <= 1 or not view.flags.c_contiguous
+    return view
+
+
+@st.composite
+def message_graphs(draw, max_nodes=7, max_edges=14):
+    """Random multigraph + features: duplicate edges, isolated nodes,
+    zero edges, 1-3 heads, and non-contiguous feature/weight arrays."""
+    num_nodes = draw(st.integers(1, max_nodes))
+    num_edges = draw(st.integers(0, max_edges))
+    node = st.integers(0, num_nodes - 1)
+    src = draw(arrays(np.int64, (num_edges,), elements=node))
+    dst = draw(arrays(np.int64, (num_edges,), elements=node))
+    heads = draw(st.integers(1, 3))
+    width = draw(st.integers(1, 4))
+    if heads == 1 and draw(st.booleans()):
+        x_shape, w_shape = (num_nodes, width), (num_edges,)
+    else:
+        x_shape, w_shape = (num_nodes, heads, width), (num_edges, heads)
+    x = _maybe_strided(draw, draw(arrays(np.float64, x_shape, elements=finite)))
+    w = _maybe_strided(draw, draw(arrays(np.float64, w_shape, elements=finite)))
+    g = draw(arrays(np.float64, x_shape, elements=finite))
+    return src, dst, num_nodes, x, w, g
+
+
+def _attention_run(src, dst, n, x, w, g):
+    xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+    out = segment_attention_sum(xt, wt, src, dst, n)
+    out.backward(g)
+    return out.data, xt.grad, wt.grad
+
+
+@given(message_graphs(), st.data())
+@settings(max_examples=120, deadline=None)
+def test_scatter_sum_csr_product_is_bit_identical(case, data):
+    src, dst, n, x, __, __ = case
+    values = _maybe_strided(data.draw, np.take(x, src, axis=0))
+    out = both_backends(lambda: scatter_sum(values, dst, n))
+    np.testing.assert_array_equal(out["fused"], out["naive"])
+
+
+@given(message_graphs())
+@settings(max_examples=120, deadline=None)
+def test_segment_attention_sum_is_bit_identical(case):
+    src, dst, n, x, w, g = case
+    runs = both_backends(lambda: _attention_run(src, dst, n, x, w, g))
+    for fused, naive in zip(runs["fused"], runs["naive"]):
+        np.testing.assert_array_equal(fused, naive)
+
+
+@given(message_graphs())
+@settings(max_examples=80, deadline=None)
+def test_gather_sum_matches_two_node_spelling(case):
+    src, dst, n, x, __, g = case
+
+    def fused_op():
+        xt = Tensor(x, requires_grad=True)
+        out = gather_sum(xt, src, dst, n)
+        out.backward(g)
+        return out.data, xt.grad
+
+    def two_nodes():
+        xt = Tensor(x, requires_grad=True)
+        out = segment_sum(gather(xt, src), dst, n)
+        out.backward(g)
+        return out.data, xt.grad
+
+    for backend in kernels.BACKENDS:
+        with use_backend(backend):
+            expected = two_nodes()
+        for other in kernels.BACKENDS:
+            with use_backend(other):
+                actual = fused_op()
+            for a, b in zip(actual, expected):
+                np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize(
+    "src, dst, n, heads",
+    [
+        ([], [], 3, 1),  # zero edges
+        ([0, 0, 1], [1, 1, 1], 3, 1),  # duplicate edges, nodes 0/2 receive none
+        ([2, 0, 1, 2], [0, 0, 2, 2], 4, 2),  # two heads, node 3 isolated
+    ],
+)
+def test_segment_attention_sum_edge_cases(src, dst, n, heads):
+    rng = np.random.default_rng(7)
+    src, dst = np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)
+    x = rng.normal(size=(n, heads, 3))
+    w = rng.normal(size=(len(src), heads))
+    g = rng.normal(size=(n, heads, 3))
+    runs = both_backends(lambda: _attention_run(src, dst, n, x, w, g))
+    for fused, naive in zip(runs["fused"], runs["naive"]):
+        np.testing.assert_array_equal(fused, naive)
+    isolated = np.setdiff1d(np.arange(n), dst)
+    assert not runs["fused"][0][isolated].any()
